@@ -45,7 +45,7 @@ def _emit(data, as_json: bool, text: str | None = None) -> None:
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 

@@ -47,6 +47,10 @@ class SuiteItem:
     seconds: float
     details: dict
 
+    def __post_init__(self):
+        # items compute their flags from NumPy scalars
+        self.passed = bool(self.passed)
+
     def as_dict(self) -> dict:
         return {"key": self.key, "description": self.description,
                 "passed": self.passed, "seconds": round(self.seconds, 3),

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from foliate import (InputError, NumericalError, co_nullity,
-                     extremal_angle_bases, export_trace_csv, index_form,
-                     integrate_geodesic, jacobi_ode, lemma47_envelope,
-                     pair_sup_bruteforce, riccati_flow, riccati_ode,
-                     scalar_blowup_time, turbulence, turbulence_at,
-                     vt_machinery)
+from foliate import (AdaptedPoint, InputError, NumericalError, builtin,
+                     co_nullity, extremal_angle_bases, export_trace_csv,
+                     index_form, integrate_geodesic, jacobi_flow, jacobi_ode,
+                     lemma47_envelope, pair_sup_bruteforce, riccati_flow,
+                     riccati_ode, scalar_blowup_time, tangent_weight_series,
+                     turbulence, turbulence_at, vt_machinery)
 
 
 def _sym(rng, n, scale):
@@ -144,6 +144,93 @@ def test_riccati_flow_checks_home(hopf_item):
                             home="nor")
     with pytest.raises(InputError):
         riccati_flow(W, tr)  # default B0 needs a leaf-tangent trace
+
+
+HOPF_P0 = np.array([np.pi / 4, 0.2, 0.5])
+HOPF_FIBER = np.array([0.0, 1.0, 1.0])
+
+
+def test_jacobi_flow_on_hopf_fiber(hopf_item):
+    # in the parallel normal frame of a fiber R_nor = id, and the co-nullity
+    # operator J of the unit fiber velocity squares to -id; so Y'' = -Y from
+    # (Y, Ydot) = (id, J) is Y = cos t id + sin t J, and Ydot Y^-1 = J is
+    # the stationary Riccati solution
+    W = hopf_item.W
+    tr = integrate_geodesic(W, HOPF_P0, HOPF_FIBER, 2.0, n_steps=400)
+    J = co_nullity(W, HOPF_P0, tr.velocities[0])
+    np.testing.assert_allclose(J @ J, -np.eye(2), atol=1e-12)
+    jt = jacobi_flow(W, tr)
+    t = tr.times[:, None, None]
+    np.testing.assert_allclose(jt.times, tr.times, rtol=0, atol=0)
+    np.testing.assert_allclose(jt.Y, np.cos(t) * np.eye(2) + np.sin(t) * J,
+                               rtol=0, atol=1e-9)
+    np.testing.assert_allclose(jt.Yd, -np.sin(t) * np.eye(2) + np.cos(t) * J,
+                               rtol=0, atol=1e-9)
+    rt = riccati_flow(W, tr)
+    assert rt.blow_up is None and not rt.refined
+    np.testing.assert_allclose(rt.mats, jt.Yd @ np.linalg.inv(jt.Y),
+                               rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("b0", [-0.5, 0.3])
+def test_jacobi_flow_scalar_start_on_hopf_fiber(hopf_item, b0):
+    W = hopf_item.W
+    tr = integrate_geodesic(W, HOPF_P0, HOPF_FIBER, 2.0, n_steps=400)
+    jt = jacobi_flow(W, tr, Y0=np.eye(2), Yd0=b0 * np.eye(2))
+    t = tr.times[:, None, None]
+    np.testing.assert_allclose(jt.Y, (np.cos(t) + b0 * np.sin(t)) * np.eye(2),
+                               rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["doubly_twisted_torus_weighted",
+                                  "conformal_torus_weighted"])
+def test_weighted_riccati_flow_is_the_shifted_flow(name):
+    # B_w = B - s id with s = g(X/n, v) solves the weighted equation exactly,
+    # so the two RK4 solutions agree to their O(h^4) error budgets
+    W = builtin(name).W
+    p0 = np.array([0.4, 1.1, 2.0])
+    x0 = AdaptedPoint(W, p0).frames[0][:, 0]
+    tr = integrate_geodesic(W, p0, x0, 0.8, n_steps=160)
+    ru = riccati_flow(W, tr)
+    rw = riccati_flow(W, tr, weighted=True)
+    assert len(ru.times) == len(rw.times) == 161
+    assert ru.blow_up is None and rw.blow_up is None
+    s = tangent_weight_series(W, tr)
+    assert np.max(np.abs(s)) > 1e-3
+    gap = np.linalg.norm(rw.mats + s[:, None, None] * np.eye(W.n) - ru.mats,
+                         axis=(1, 2))
+    assert float(np.max(gap)) <= 1e-6
+
+
+def test_weighted_riccati_flow_without_weight_is_unweighted(hopf_item):
+    W = hopf_item.W
+    tr = integrate_geodesic(W, HOPF_P0, HOPF_FIBER, 1.0, n_steps=200)
+    ru = riccati_flow(W, tr)
+    rw = riccati_flow(W, tr, weighted=True)
+    assert np.array_equal(rw.times, ru.times)
+    assert np.array_equal(rw.mats, ru.mats)
+
+
+@pytest.mark.parametrize("k, b0", [(0.5303578441159724, 0.0), (0.565, 0.323)])
+def test_riccati_ode_late_pole(k, b0):
+    # scalar closed form of b' = -b^2 - k: t* = (pi/2 + atan(b0/sqrt k))/sqrt k
+    rk = math.sqrt(k)
+    t_star = (math.pi / 2.0 + math.atan(b0 / rk)) / rk
+    rt = riccati_ode(lambda t: k * np.eye(2), b0 * np.eye(2), t_star + 0.4)
+    assert rt.blow_up is not None
+    assert abs(rt.blow_up - t_star) <= 1e-4
+
+
+def test_riccati_flow_pole_on_hopf_fiber(hopf_item):
+    # with R_nor = id the flow from b0 id stays b(t) id, b' = -b^2 - 1,
+    # whose pole is at pi/2 + atan(b0)
+    W = hopf_item.W
+    tr = integrate_geodesic(W, HOPF_P0, HOPF_FIBER, 2.5, n_steps=500)
+    for b0 in np.linspace(-0.5, 0.5, 11):
+        rt = riccati_flow(W, tr, B0=b0 * np.eye(2))
+        assert rt.blow_up is not None and rt.refined
+        t_star = math.pi / 2.0 + math.atan(b0)
+        assert abs(rt.blow_up - t_star) <= 1e-4, b0
 
 
 def test_jacobi_vs_riccati_consistency(rng):

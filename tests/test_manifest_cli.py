@@ -8,7 +8,7 @@ import pytest
 
 from foliate import (InputError, builtin, catalog, from_manifest,
                      load_manifest, save_manifest, to_manifest)
-from foliate.cli import main
+from foliate.cli import _emit, main
 from foliate.manifold import PointGeometry
 
 ALL_NAMES = sorted(catalog())
@@ -279,6 +279,22 @@ def test_cli_suite_filter(capsys):
     assert data["seed"] == 1234
     (item,) = data["items"]
     assert item["key"] == "twisted-forms" and item["passed"] is True
+
+
+def test_cli_suite_json_with_numpy_flags(capsys):
+    # riccati-blowup computes its pass flag from NumPy floats
+    rc, out, _ = _run(capsys, ["suite", "--only", "riccati-blowup", "--json"])
+    assert rc == 0
+    (item,) = json.loads(out)["items"]
+    assert item["key"] == "riccati-blowup" and item["passed"] is True
+
+
+def test_emit_numpy_scalars(capsys):
+    data = {"b": np.bool_(True), "f": np.float32(0.5), "i": np.int8(-3),
+            "u": np.uint64(7), "a": np.arange(2)}
+    _emit(data, True)
+    assert json.loads(capsys.readouterr().out) == {
+        "b": True, "f": 0.5, "i": -3, "u": 7, "a": [0, 1]}
 
 
 def test_cli_suite_unknown_filter(capsys):
