@@ -188,8 +188,7 @@ def cmd_riccati(args) -> int:
         export_trace_csv(args.csv, trace, riccati=rt)
     final = None if rt.blow_up is not None else rt.final().tolist()
     data = {"time": args.time, "steps": args.steps, "weighted": rt.weighted,
-            "blow_up": rt.blow_up, "refined": rt.refined,
-            "final_matrix": final,
+            "blow_up": rt.blow_up, "final_matrix": final,
             "speed_drift": trace.speed_drift,
             "tangency_drift": trace.tangency_drift}
     text = (f"blow-up at t = {rt.blow_up:.6f}" if rt.blow_up is not None

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from foliate import (AdaptedPoint, InputError, NumericalError, builtin,
                      co_nullity, extremal_angle_bases, export_trace_csv,
@@ -12,6 +13,7 @@ from foliate import (AdaptedPoint, InputError, NumericalError, builtin,
                      lemma47_envelope, pair_sup_bruteforce, riccati_flow,
                      riccati_ode, scalar_blowup_time, tangent_weight_series,
                      turbulence, turbulence_at, vt_machinery)
+from foliate.geodesics import DEFAULT_STEPS
 
 
 def _sym(rng, n, scale):
@@ -104,7 +106,6 @@ def test_scalar_blowup_time_matches_integration(lam0, k, shift):
     tr = riccati_ode(lambda t: k, lam0, t_true + 0.3, dt=2.5e-4,
                      linear_coeff=2.0 * shift)
     assert tr.blow_up == pytest.approx(t_true, abs=1e-5)
-    assert tr.refined
 
 
 def test_scalar_blowup_time_none_branches():
@@ -112,8 +113,6 @@ def test_scalar_blowup_time_none_branches():
     assert scalar_blowup_time(1.0, 0.0, 0.0) is None
     tr = riccati_ode(lambda t: -1.0, 0.3, 6.0, dt=2e-3)
     assert tr.blow_up is None
-    # bounded solutions keep the fixed grid
-    assert not tr.refined
     assert tr.final().shape == (1, 1)
 
 
@@ -167,7 +166,7 @@ def test_jacobi_flow_on_hopf_fiber(hopf_item):
     np.testing.assert_allclose(jt.Yd, -np.sin(t) * np.eye(2) + np.cos(t) * J,
                                rtol=0, atol=1e-9)
     rt = riccati_flow(W, tr)
-    assert rt.blow_up is None and not rt.refined
+    assert rt.blow_up is None
     np.testing.assert_allclose(rt.mats, jt.Yd @ np.linalg.inv(jt.Y),
                                rtol=0, atol=1e-9)
 
@@ -228,9 +227,96 @@ def test_riccati_flow_pole_on_hopf_fiber(hopf_item):
     tr = integrate_geodesic(W, HOPF_P0, HOPF_FIBER, 2.5, n_steps=500)
     for b0 in np.linspace(-0.5, 0.5, 11):
         rt = riccati_flow(W, tr, B0=b0 * np.eye(2))
-        assert rt.blow_up is not None and rt.refined
+        assert rt.blow_up is not None
         t_star = math.pi / 2.0 + math.atan(b0)
         assert abs(rt.blow_up - t_star) <= 1e-4, b0
+
+
+def test_riccati_ode_pole_on_a_grid_node():
+    # R = 0: RK4 is exact for Y = 1 - 2t, so Y(0.5) = 0 on the node itself
+    rt = riccati_ode(lambda t: 0.0, -2.0, 1.0, dt=0.25)
+    assert rt.blow_up == 0.5
+    np.testing.assert_array_equal(rt.times, [0.0, 0.25])
+    np.testing.assert_allclose(rt.mats[:, 0, 0], [-2.0, -4.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("R_fn", [lambda t: np.nan,
+                                  lambda t: np.inf if t > 0.5 else 1.0],
+                         ids=["nan", "inf_late"])
+def test_riccati_ode_rejects_non_finite_profiles(R_fn):
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalError, match="non-finite"):
+        riccati_ode(R_fn, 0.0, 1.0, dt=0.01)
+
+
+def test_riccati_ode_matches_dop853(rng):
+    # an oracle outside the Jacobi march: DOP853 on the nonlinear equation
+    # dB/dt = -B^2 - c(t) B - R(t), with a non-symmetric start
+    for _ in range(3):
+        S, A = _sym(rng, 2, 0.3), rng.normal(size=(2, 2))
+        R_fn = lambda t: 0.8 * np.eye(2) + np.cos(1.7 * t) * S
+        c_fn = lambda t: 0.4 * np.sin(t) - 0.2
+        B0 = 0.15 * A
+        rt = riccati_ode(R_fn, B0, 0.8, dt=1e-3, linear_coeff=c_fn)
+        assert rt.blow_up is None and len(rt.times) == 801
+
+        def rhs(t, b):
+            B = b.reshape(2, 2)
+            return (-(B @ B) - c_fn(t) * B - R_fn(t)).ravel()
+
+        ref = solve_ivp(rhs, (0.0, 0.8), B0.ravel(), method="DOP853",
+                        t_eval=rt.times, rtol=1e-13, atol=1e-13)
+        gap = np.abs(rt.mats.reshape(len(rt.times), 4) - ref.y.T)
+        assert float(np.max(gap)) <= 1e-10
+
+
+def test_riccati_pole_of_anisotropic_curvature():
+    # R = diag(1, 4) from B0 = 0: b2 = -2 tan 2t blows up first, at pi/4
+    rt = riccati_ode(lambda t: np.diag([1.0, 4.0]), np.zeros((2, 2)), 1.5)
+    assert abs(rt.blow_up - math.pi / 4.0) <= 1e-10
+
+
+def test_riccati_ode_scalar_start_poles():
+    # B0 = b0 id, R = k id: t* = (pi/2 + atan(b0/sqrt k))/sqrt k
+    k = 0.565
+    rk = math.sqrt(k)
+    for b0 in np.linspace(-0.5, 0.5, 101):
+        t_star = (math.pi / 2.0 + math.atan(b0 / rk)) / rk
+        rt = riccati_ode(lambda t: k * np.eye(2), b0 * np.eye(2),
+                         t_star + 0.2, dt=2e-3)
+        assert abs(rt.blow_up - t_star) <= 1e-10, b0
+
+
+def test_riccati_ode_rotated_start_has_no_pole():
+    # R = id: Y = cos t id + sin t B0, and with B0 = -0.2 id + a J
+    # det Y = (cos t - 0.2 sin t)^2 + (a sin t)^2 > 0, so B never blows up
+    # although |B| reaches ~1/a where cos t = 0.2 sin t
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    B0 = -0.2 * np.eye(2) + 1e-3 * J
+    rt = riccati_ode(lambda t: np.eye(2), B0, 3.0)
+    assert rt.blow_up is None and len(rt.times) == DEFAULT_STEPS + 1
+    t = rt.times[:, None, None]
+    exact = np.linalg.solve(np.swapaxes(np.cos(t) * np.eye(2) + np.sin(t) * B0,
+                                        1, 2),
+                            np.swapaxes(-np.sin(t) * np.eye(2)
+                                        + np.cos(t) * B0, 1, 2))
+    assert float(np.max(rt.norms)) > 1e3
+    np.testing.assert_allclose(rt.mats, np.swapaxes(exact, 1, 2), rtol=1e-8,
+                               atol=1e-8)
+
+
+@pytest.mark.parametrize("k, b0", [(1.2, 0.3), (0.7, -0.45)])
+def test_riccati_pole_survives_roundoff_skew(k, b0):
+    # a skew part of R at roundoff level turns the double eigenvalue of
+    # Y_k^-1 Y into a complex pair with a tiny imaginary part; the pole of
+    # the symmetric problem must still be found
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    rk = math.sqrt(k)
+    t_star = (math.pi / 2.0 + math.atan(b0 / rk)) / rk
+    rt = riccati_ode(lambda t: k * np.eye(2) + 1e-15 * J, b0 * np.eye(2),
+                     t_star + 0.4)
+    assert rt.blow_up is not None
+    assert abs(rt.blow_up - t_star) <= 1e-10
 
 
 def test_jacobi_vs_riccati_consistency(rng):
