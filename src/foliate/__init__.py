@@ -37,8 +37,7 @@ from .identities import (ResidualReport, bench_field, closed_chart_grid,
 from .manifest import from_manifest, load_manifest, save_manifest, to_manifest
 from .manifold import (ChartedManifold, PointGeometry, VectorFieldSpec,
                        christoffel, divergence, lie_derivative_metric,
-                       metric_at, random_points, ricci, riemann, sectional,
-                       wrap_point)
+                       random_points, ricci, riemann, sectional, wrap_point)
 from .suite import SUITE_KEYS, SuiteItem, format_suite, run_item, run_suite
 from .weighted import (CdReport, cd_check, jacobi_operator_bracket,
                        min_partial_ricci, mixed_scalar,

@@ -120,7 +120,7 @@ class AdaptedPoint(PointGeometry):
         S = np.empty(batch + (d, nu))
         dS = np.empty(batch + (d, nu, d))
         for a, fld in enumerate(self.W.dist.spanning):
-            X, dX, _ = fld.jets(self.p)
+            X, dX = fld.jets(self.p)
             S[..., :, a] = X
             dS[..., :, a, :] = dX
         return S, dS
@@ -200,7 +200,7 @@ class AdaptedPoint(PointGeometry):
         if self.W.weight_field is None:
             batch, d = self.p.shape[:-1], self.W.dim
             return np.zeros(batch + (d,)), np.zeros(batch + (d, d))
-        X, dX, _ = self.W.weight_field.jets(self.p)
+        X, dX = self.W.weight_field.jets(self.p)
         return X, dX
 
     @cached_property

@@ -187,7 +187,7 @@ def check_div_dd(W: WeightedAlmostProduct, xi: VectorFieldSpec, points,
 
     ap = AdaptedPoint(W, P)
     H_tan, H_nor = mean_curvature_fields(W, P, ap)
-    Xi, dXi, _ = xi.jets(P)
+    Xi, dXi = xi.jets(P)
     PXi = np.einsum("...ik,...k->...i", ap.proj_tan, Xi)
     dPXi = (np.einsum("...kjm,...j->...km", ap.dproj_tan, Xi)
             + np.einsum("...kj,...jm->...km", ap.proj_tan, dXi))
@@ -330,7 +330,7 @@ def divergence_integral(W: WeightedAlmostProduct, xi: VectorFieldSpec,
 
     def f(P):
         ap = AdaptedPoint(W, P)
-        V, dV, _ = xi.jets(P)
+        V, dV = xi.jets(P)
         return _divergence(ap, V, dV)
 
     return quadrature_integral(W, f, nodes_per_circle)

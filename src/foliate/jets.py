@@ -3,7 +3,10 @@
 A :class:`Jet2` carries the value, gradient and Hessian of a scalar quantity
 with respect to ``d`` chart coordinates.  Arithmetic propagates all three
 exactly (to machine precision), so curvature formulas downstream never touch
-finite differences.
+finite differences.  These are the reference rules: the compiled programs of
+:mod:`foliate.expr` perform the same operations in the same order, and the
+test suite checks them against a one-``Jet2``-per-node interpreter.
+``eval_jet`` on a single expression returns its result as a ``Jet2``.
 
 Jets are batch-capable: ``val`` has an arbitrary leading shape ``B``,
 ``grad`` has shape ``B + (d,)`` and ``hess`` has shape ``B + (d, d)``.

@@ -17,18 +17,17 @@ tensors with the same leading batch shape.  Frame-dependent operations in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .expr import Expr, Num, eval_jet, eval_value, max_coord, parse, to_source
-from .jets import Jet2
+from .errors import DomainError, InputError, NumericalError
+from .expr import Expr, Num, Program, eval_jet, max_coord, parse, to_source
 
 __all__ = [
-    "VectorFieldSpec", "ChartedManifold", "PointGeometry", "metric_at",
+    "VectorFieldSpec", "ChartedManifold", "PointGeometry",
     "christoffel", "riemann", "sectional", "ricci", "lie_derivative_metric",
     "divergence", "random_points", "wrap_point", "check_in_chart",
 ]
@@ -66,27 +65,16 @@ class VectorFieldSpec:
     def dim(self) -> int:
         return len(self.components)
 
-    def values(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        out = np.empty(p.shape)
-        for k, comp in enumerate(self.components):
-            out[..., k] = eval_value(comp, p)
-        return out
+    @cached_property
+    def _program(self) -> Program:
+        return Program(self.components, self.dim)
 
-    def jets(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(X, dX, d2X)`` with ``dX[..., k, m] = d_m X^k`` and
-        ``d2X[..., k, m, l] = d_m d_l X^k``."""
-        p = np.asarray(p, dtype=float)
-        batch, d = p.shape[:-1], p.shape[-1]
-        X = np.empty(batch + (d,))
-        dX = np.empty(batch + (d, d))
-        d2X = np.empty(batch + (d, d, d))
-        for k, comp in enumerate(self.components):
-            jet = eval_jet(comp, p)
-            X[..., k] = jet.val
-            dX[..., k, :] = jet.grad
-            d2X[..., k, :, :] = jet.hess
-        return X, dX, d2X
+    def values(self, p) -> np.ndarray:
+        return eval_jet(self._program, np.asarray(p, dtype=float), 0)[0]
+
+    def jets(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(X, dX)`` with ``dX[..., k, m] = d_m X^k``."""
+        return eval_jet(self._program, p, 1)
 
 
 @dataclass(frozen=True)
@@ -95,10 +83,8 @@ class ChartedManifold:
 
     ``periodic[i]`` is the period of coordinate ``i`` (``None`` if not
     periodic); ``box[i]`` is an open interval ``(lo, hi)`` for a bounded
-    non-periodic coordinate, ``None`` otherwise.  ``jet_override``, if given,
-    must map points ``(..., d)`` to ``(g, dg, d2g)`` with the same layout as
-    the expression path; it exists for closed-form metrics where the
-    expression route would be wasteful, and is cross-checked in tests.
+    non-periodic coordinate, ``None`` otherwise.  The upper-triangle entries
+    are compiled together into one program on first evaluation.
     """
 
     dim: int
@@ -106,7 +92,6 @@ class ChartedManifold:
     periodic: tuple[float | None, ...] = None  # type: ignore[assignment]
     box: tuple[tuple[float, float] | None, ...] = None  # type: ignore[assignment]
     label: str = ""
-    jet_override: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
         d = self.dim
@@ -133,62 +118,58 @@ class ChartedManifold:
         self._check_symmetry()
 
     def _check_symmetry(self):
-        from .errors import DomainError
-        rng = np.random.default_rng(2718)
-        pts = random_points(self, rng, 3)
-        for p in pts:
+        """Compare the entries ``g_ij`` and ``g_ji`` that differ as
+        expressions at three sample points (points outside an entry's domain
+        are skipped)."""
+        d = self.dim
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)
+                 if self.metric[i][j] != self.metric[j][i]]
+        if not pairs:
+            return
+        program = Program([self.metric[i][j] for i, j in pairs]
+                          + [self.metric[j][i] for i, j in pairs], d)
+        for p in random_points(self, np.random.default_rng(2718), 3):
             try:
-                gfull = np.array([[eval_value(self.metric[i][j], p) for j in range(self.dim)]
-                                  for i in range(self.dim)])
+                upper, lower = np.split(eval_jet(program, p, 0)[0], 2)
             except DomainError:
                 continue
-            if not np.allclose(gfull, gfull.T, atol=1e-12, rtol=1e-12):
+            if not (np.allclose(upper, lower, atol=1e-12, rtol=1e-12)
+                    and np.allclose(lower, upper, atol=1e-12, rtol=1e-12)):
                 raise InputError("metric expressions are not symmetric")
 
-    def metric_jet(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @cached_property
+    def _metric_program(self) -> Program:
+        d = self.dim
+        upper = [(i, j) for i in range(d) for j in range(i, d)]
+        return Program([self.metric[i][j] for i, j in upper], d, (d, d),
+                       tuple(((i, j), (j, i)) if i != j else ((i, j),)
+                             for i, j in upper))
+
+    def metric_jet(self, p, order: int = 2) -> tuple[np.ndarray, ...]:
         """Exact ``(g, dg, d2g)`` at point(s) ``p``; ``dg[..., i, j, k] =
-        d_k g_ij`` and ``d2g[..., i, j, k, l] = d_k d_l g_ij``."""
+        d_k g_ij`` and ``d2g[..., i, j, k, l] = d_k d_l g_ij``.  ``order=1``
+        returns ``(g, dg)`` and computes no second derivative."""
         p = np.asarray(p, dtype=float)
         if p.shape[-1] != self.dim:
             raise InputError(f"point has {p.shape[-1]} coordinates, chart has {self.dim}")
-        if self.jet_override is not None:
-            return self.jet_override(p)
-        batch, d = p.shape[:-1], self.dim
-        g = np.empty(batch + (d, d))
-        dg = np.empty(batch + (d, d, d))
-        d2g = np.empty(batch + (d, d, d, d))
-        for i in range(d):
-            for j in range(i, d):
-                jet = eval_jet(self.metric[i][j], p)
-                g[..., i, j] = g[..., j, i] = jet.val
-                dg[..., i, j, :] = dg[..., j, i, :] = jet.grad
-                d2g[..., i, j, :, :] = d2g[..., j, i, :, :] = jet.hess
-        return g, dg, d2g
+        return eval_jet(self._metric_program, p, order)
 
     def metric_values(self, p) -> np.ndarray:
-        return self.metric_jet(p)[0] if self.jet_override is not None else self._values(p)
-
-    def _values(self, p):
-        p = np.asarray(p, dtype=float)
-        d = self.dim
-        g = np.empty(p.shape[:-1] + (d, d))
-        for i in range(d):
-            for j in range(i, d):
-                g[..., i, j] = g[..., j, i] = eval_value(self.metric[i][j], p)
-        return g
+        return eval_jet(self._metric_program, np.asarray(p, dtype=float), 0)[0]
 
 
 class PointGeometry:
     """Lazy bundle of pointwise (or batched) metric/curvature data.
 
-    Construction validates positive-definiteness and caps the metric
-    condition number at 1e6 unless ``validate=False``.
+    Construction evaluates the metric and its first derivatives, validates
+    positive-definiteness and caps the metric condition number at 1e6 unless
+    ``validate=False``.  Second derivatives are evaluated on first use.
     """
 
     def __init__(self, manifold: ChartedManifold, p, validate: bool = True):
         self.M = manifold
         self.p = np.asarray(p, dtype=float)
-        self.g, self.dg, self.d2g = manifold.metric_jet(self.p)
+        self.g, self.dg = manifold.metric_jet(self.p, 1)
         if validate:
             self._validate_metric()
 
@@ -203,6 +184,11 @@ class PointGeometry:
             raise NumericalError(
                 f"metric condition number exceeds the {COND_CAP:.0e} cap; "
                 "point is too close to a chart degeneracy")
+
+    @cached_property
+    def d2g(self) -> np.ndarray:
+        """``d2g[..., i, j, k, l] = d_k d_l g_ij``."""
+        return self.M.metric_jet(self.p, 2)[2]
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -270,10 +256,6 @@ class PointGeometry:
 # functional API (thin wrappers; tests and the CLI use these)
 # ---------------------------------------------------------------------------
 
-def metric_at(M: ChartedManifold, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return M.metric_jet(p)
-
-
 def christoffel(M: ChartedManifold, p, validate: bool = True) -> np.ndarray:
     return PointGeometry(M, p, validate=validate).gamma
 
@@ -293,7 +275,7 @@ def sectional(M: ChartedManifold, p, u, v) -> np.ndarray:
 def lie_derivative_metric(M: ChartedManifold, p, X: VectorFieldSpec) -> np.ndarray:
     """``(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k``."""
     geo = PointGeometry(M, p)
-    Xv, dX, _ = X.jets(geo.p)
+    Xv, dX = X.jets(geo.p)
     term = np.einsum("...k,...ijk->...ij", Xv, geo.dg)
     mix = np.einsum("...kj,...ki->...ij", geo.g, dX)
     return term + mix + np.swapaxes(mix, -1, -2)
@@ -302,7 +284,7 @@ def lie_derivative_metric(M: ChartedManifold, p, X: VectorFieldSpec) -> np.ndarr
 def divergence(M: ChartedManifold, p, X: VectorFieldSpec) -> np.ndarray:
     """``Div X = d_k X^k + Gamma^k_{k a} X^a`` (trace of nabla X)."""
     geo = PointGeometry(M, p)
-    Xv, dX, _ = X.jets(geo.p)
+    Xv, dX = X.jets(geo.p)
     return (np.einsum("...kk->...", dX)
             + np.einsum("...kka,...a->...", geo.gamma, Xv))
 

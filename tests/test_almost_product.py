@@ -1,6 +1,7 @@
 """Adapted splittings: projectors, extrinsic tensors, co-nullity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,3 +224,38 @@ def test_structure_validation():
     with pytest.raises(InputError):
         WeightedAlmostProduct(
             M, DistributionSpec((span, span)))  # rank-deficient spanning
+
+
+def _most_live_temporaries(source: str) -> int:
+    """Largest number of temporaries a generated program holds at once."""
+    live, most = set(), 0
+    for line in source.splitlines():
+        line = line.strip()
+        if line.startswith("t"):
+            live.add(line.split("=")[0].strip())
+            most = max(most, len(live))
+        elif line.startswith("del "):
+            live -= {name.strip() for name in line[4:].split(",")}
+    return most
+
+
+def test_weight_jets_peak_at_kept_arrays_plus_live_temporaries():
+    # X and dX only: no second jets, and each temporary is freed after its
+    # last use, so the traced peak is the two kept arrays plus the most
+    # batch-sized temporaries the order-1 program holds at once (64 KiB
+    # covers array headers and lists)
+    item = builtin("conformal_torus_weighted")
+    W = item.W
+    P = item.sample_points(32768, np.random.default_rng(0))
+    ap = AdaptedPoint(W, P)
+    W.weight_field.jets(P[:2])  # compile outside the trace
+    live = _most_live_temporaries(W.weight_field._program.source(1))
+    tracemalloc.start()
+    try:
+        X, dX = ap.weight
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = X.nbytes + dX.nbytes
+    assert kept == 12 * len(P) * 8
+    assert peak <= kept + live * len(P) * 8 + 64 * 1024

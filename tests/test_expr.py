@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliate import (InputError, ParseError, differentiate, eval_jet,
-                     eval_value, parse, to_source)
+from foliate import (DomainError, InputError, ParseError, differentiate,
+                     eval_jet, eval_value, parse, to_source)
+from foliate.expr import Program
 
 SAMPLES = [
     ("1.5", 2),
@@ -129,3 +130,34 @@ def test_composite_derivative_identity(a, b):
     e = parse("sin(x0)^2 + cos(x0)^2", 2)
     de = differentiate(e, 0)
     assert eval_value(de, np.array([a, b])) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("src,point,text", [
+    ("log(x0-1)", [0.5, 0.0], "log(x0-1)"),
+    ("exp(1 + log(x0-1))", [0.5, 0.0], "log(x0-1)"),
+    ("1/(x0-x1)", [0.3, 0.3], "1/(x0-x1)"),
+    ("sqrt(x0)", [0.0, 0.3], "sqrt(x0)"),
+])
+def test_domain_error_names_the_failing_node(src, point, text):
+    e = parse(src, 2)
+    batch = np.array([[0.7, 0.1], point])
+    calls = [lambda: eval_jet(e, np.array(point)), lambda: eval_jet(e, batch),
+             lambda: eval_jet(Program([parse("x1"), e], 2), batch, 1)]
+    if not src.startswith(("1/", "sqrt")):
+        # plain evaluation divides without a check and allows sqrt(0)
+        calls.append(lambda: eval_value(e, batch))
+    for call in calls:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.expr_text == text
+        assert f"in subexpression '{text}'" in str(err.value)
+
+
+def test_plain_evaluation_allows_sqrt_at_zero():
+    assert eval_value(parse("sqrt(x0)", 1), np.zeros(1)) == 0.0
+
+
+def test_constant_division_by_zero_is_a_domain_error():
+    with pytest.raises(DomainError) as err:
+        eval_value(parse("x0 + 1/(2-2)", 1), np.ones(1))
+    assert err.value.expr_text == "1/(2-2)"

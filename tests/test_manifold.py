@@ -127,33 +127,41 @@ def test_lie_derivative_and_divergence(rng):
         np.linalg.solve(PointGeometry(M, p).g, lie)), abs=1e-12)
 
 
-def test_jet_override_cross_check(rng):
-    # closed-form jets for the round-sphere chart must reproduce the
-    # expression path exactly
-    M_expr = sphere2()
+def test_second_derivatives_are_evaluated_on_first_use(rng):
+    # construction evaluates (g, dg) only; dgamma/riemann pull in d2g
+    M = conformal3()
+    P = random_points(M, rng, 5)
+    geo = PointGeometry(M, P)
+    assert "d2g" not in vars(geo)
+    g, dg, d2g = M.metric_jet(P)
+    np.testing.assert_array_equal(geo.g, g)
+    np.testing.assert_array_equal(geo.dg, dg)
+    geo.riemann
+    np.testing.assert_array_equal(vars(geo)["d2g"], d2g)
+    g1, dg1 = M.metric_jet(P, 1)
+    np.testing.assert_array_equal(g1, g)
+    np.testing.assert_array_equal(dg1, dg)
+    np.testing.assert_array_equal(M.metric_values(P), g)
 
-    def jets(p):
-        p = np.asarray(p, dtype=float)
-        batch = p.shape[:-1]
-        s, c = np.sin(p[..., 0]), np.cos(p[..., 0])
-        g = np.zeros(batch + (2, 2))
-        dg = np.zeros(batch + (2, 2, 2))
-        d2g = np.zeros(batch + (2, 2, 2, 2))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = s * s
-        dg[..., 1, 1, 0] = 2.0 * s * c
-        d2g[..., 1, 1, 0, 0] = 2.0 * (c * c - s * s)
-        return g, dg, d2g
 
-    M_fast = ChartedManifold(2, M_expr.metric, box=M_expr.box,
-                             periodic=M_expr.periodic, jet_override=jets)
-    for p in random_points(M_expr, rng, 8):
-        a = PointGeometry(M_expr, p)
-        b = PointGeometry(M_fast, p)
-        np.testing.assert_allclose(a.g, b.g, atol=1e-15)
-        np.testing.assert_allclose(a.gamma, b.gamma, atol=1e-13)
-        np.testing.assert_allclose(riemann(M_expr, p), riemann(M_fast, p),
-                                   atol=1e-12)
+def test_empty_batch_evaluates_to_empty_arrays():
+    M = conformal3()
+    X = VectorFieldSpec.from_strings(["sin(x1)", "x0*x2", "1"])
+    P = np.empty((0, 3))
+    g, dg, d2g = M.metric_jet(P)
+    assert (g.shape, dg.shape, d2g.shape) == ((0, 3, 3), (0, 3, 3, 3),
+                                              (0, 3, 3, 3, 3))
+    assert M.metric_values(P).shape == (0, 3, 3)
+    Xv, dX = X.jets(P)
+    assert (Xv.shape, dX.shape, X.values(P).shape) == ((0, 3), (0, 3, 3), (0, 3))
+
+
+def test_metric_symmetry_check():
+    with pytest.raises(InputError, match="not symmetric"):
+        ChartedManifold(2, [["1", "0.1*x0"], ["0.1*x1", "1"]])
+    # equal entries written differently pass the numerical comparison
+    M = ChartedManifold(2, [["1", "0.1*x0*x1"], ["x1*x0*0.1", "1"]])
+    assert M.metric_values(np.array([0.3, 0.4]))[0, 1] == pytest.approx(0.012)
 
 
 def test_wrap_point_and_sampling(rng):
